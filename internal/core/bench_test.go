@@ -44,3 +44,14 @@ func BenchmarkChooseCSetIS(b *testing.B) {
 		_ = ChooseCSet(db, tree, o, opts)
 	}
 }
+
+// BenchmarkBuildRegionTree measures the region-tree build every bootstrap
+// and every image load pays: n=6000 uniform 2-d regions in [0,10000]^2 with
+// sides up to 60, at the default fanout.
+func BenchmarkBuildRegionTree(b *testing.B) {
+	db := randomDB(rand.New(rand.NewSource(1)), 6000, 2, 10000, 60)
+	b.ReportAllocs()
+	for b.Loop() {
+		_ = BuildRegionTree(db, 100)
+	}
+}

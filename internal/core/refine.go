@@ -78,8 +78,7 @@ func NewRefiner(db *uncertain.DB, tree *rtree.Tree, o *uncertain.Object, base Op
 // superset of V(o), and every shrink step removes only provably dominated
 // slabs). The returned stats carry the work in the Refine fields, leaving
 // the base counters zero.
-func (rf *Refiner) Refine(oldUBR geom.Rect) (geom.Rect, Stats) {
-	var st Stats
+func (rf *Refiner) Refine(oldUBR geom.Rect) (_ geom.Rect, st Stats) {
 	st.Refine.Rows = 1
 	st.Refine.CSetSize = rf.csetSize
 	t0 := time.Now()

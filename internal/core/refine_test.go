@@ -60,6 +60,10 @@ func TestRefinerShrinkOnlyAndSound(t *testing.T) {
 		if st.Refine.Iterations == 0 || st.Refine.DominationTests == 0 {
 			t.Fatalf("object %d: refinement did no work: %+v", o.ID, st.Refine)
 		}
+		if st.Refine.Time <= 0 {
+			t.Fatalf("object %d: refinement ran %d domination tests but reports Time %v",
+				o.ID, st.Refine.DominationTests, st.Refine.Time)
+		}
 		for s := 0; s < 300; s++ {
 			p := geom.Point{rng.Float64() * 1000, rng.Float64() * 1000}
 			if bruteforce.InPVCell(db, o.ID, p) && !refined.Contains(p) {

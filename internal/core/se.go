@@ -184,11 +184,14 @@ func maxGap(l, h geom.Rect) float64 {
 
 // BuildRegionTree indexes the uncertainty regions of every object in db in
 // an R*-tree keyed by object ID — the shared support structure for FS/IS
-// C-set selection and for the R-tree PNNQ baseline.
+// C-set selection and for the R-tree PNNQ baseline. The tree is
+// Sort-Tile-Recursive packed (rtree.BulkLoad); incremental updates then
+// maintain it by the R* rules.
 func BuildRegionTree(db *uncertain.DB, fanout int) *rtree.Tree {
-	t := rtree.New(db.Dim(), fanout)
-	for _, o := range db.Objects() {
-		t.Insert(rtree.Item{Rect: o.Region, ID: uint32(o.ID)})
+	objs := db.Objects()
+	items := make([]rtree.Item, len(objs))
+	for i, o := range objs {
+		items[i] = rtree.Item{Rect: o.Region, ID: uint32(o.ID)}
 	}
-	return t
+	return rtree.BulkLoad(db.Dim(), fanout, items)
 }

@@ -286,6 +286,39 @@ func TestUnionIntersectionQuick(t *testing.T) {
 	}
 }
 
+// Property: the non-allocating volume helpers agree bit for bit with the
+// allocating Intersection/Union forms they replace in the R*-tree's
+// scoring, including disjoint, touching and degenerate pairs, and they do
+// not allocate.
+func TestOverlapUnionVolumeMatchAllocatingForms(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for d := 1; d <= 5; d++ {
+		for iter := 0; iter < 400; iter++ {
+			a, b := randRect(rng, d), randRect(rng, d)
+			switch iter % 4 {
+			case 1: // touching along dimension 0
+				b.Lo[0], b.Hi[0] = a.Hi[0], a.Hi[0]+1
+			case 2: // degenerate point rectangle
+				b = PointRect(randPoint(rng, d))
+			}
+			want := 0.0
+			if inter, ok := a.Intersection(b); ok {
+				want = inter.Volume()
+			}
+			if got := a.OverlapVolume(b); got != want {
+				t.Fatalf("d=%d: OverlapVolume = %v, Intersection.Volume = %v", d, got, want)
+			}
+			if got, want := a.UnionVolume(b), a.Union(b).Volume(); got != want {
+				t.Fatalf("d=%d: UnionVolume = %v, Union.Volume = %v", d, got, want)
+			}
+		}
+	}
+	a, b := randRect(rng, 3), randRect(rng, 3)
+	if n := testing.AllocsPerRun(100, func() { _ = a.OverlapVolume(b) + a.UnionVolume(b) }); n != 0 {
+		t.Fatalf("volume helpers allocate %v times per call", n)
+	}
+}
+
 // Property: MinDistRect(a,b) <= Dist(x,y) <= MaxDistRect(a,b) for x in a, y in b.
 func TestRectRectSandwichProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))

@@ -234,6 +234,10 @@ func TestRefineBatchRerefinesCrossedHubs(t *testing.T) {
 	if len(sts) != 1 || sts[0].SE.Refine.Rows == 0 {
 		t.Fatalf("batch stats missing refinement attribution: %+v", sts)
 	}
+	if sts[0].SE.Refine.DominationTests > 0 && sts[0].SE.Refine.Time <= 0 {
+		t.Fatalf("batch refinement ran %d domination tests but reports Time %v",
+			sts[0].SE.Refine.DominationTests, sts[0].SE.Refine.Time)
+	}
 }
 
 // TestRefinePersistRoundTrip checks PVIDX4 persistence: refined UBRs, the

@@ -23,19 +23,17 @@ type RTreePrimary struct {
 // reusing its stored UBRs.
 func NewRTreePrimary(ix *Index, fanout int) *RTreePrimary {
 	db := ix.DB()
-	rp := &RTreePrimary{
-		tree:    rtree.New(db.Dim(), fanout),
-		regions: make(map[uncertain.ID]geom.Rect, db.Len()),
-	}
+	regions := make(map[uncertain.ID]geom.Rect, db.Len())
+	items := make([]rtree.Item, 0, db.Len())
 	for _, o := range db.Objects() {
 		ubr, ok := ix.UBR(o.ID)
 		if !ok {
 			continue
 		}
-		rp.tree.Insert(rtree.Item{Rect: ubr, ID: uint32(o.ID)})
-		rp.regions[o.ID] = o.Region
+		items = append(items, rtree.Item{Rect: ubr, ID: uint32(o.ID)})
+		regions[o.ID] = o.Region
 	}
-	return rp
+	return &RTreePrimary{tree: rtree.BulkLoad(db.Dim(), fanout, items), regions: regions}
 }
 
 // PossibleNN answers PNNQ Step 1 exactly like Index.PossibleNN: objects

@@ -10,9 +10,11 @@
 package rtree
 
 import (
+	"cmp"
 	"container/heap"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -44,6 +46,10 @@ type Tree struct {
 	size       int
 	sess       *cowTag
 
+	// scratch holds splitNode's prefix/suffix MBR buffers (mutation-only
+	// state, so never shared between handles).
+	scratch []geom.Rect
+
 	// leafIO counts leaf-node accesses during queries — the simulated
 	// disk reads of the paper's experiments. Atomic so concurrent readers
 	// (e.g. parallel index construction) do not race.
@@ -65,13 +71,7 @@ type entry struct {
 
 func (n *node) leaf() bool { return n.level == 0 }
 
-func (n *node) mbr() geom.Rect {
-	r := n.entries[0].rect
-	for _, e := range n.entries[1:] {
-		r = r.Union(e.rect)
-	}
-	return r
-}
+func (n *node) mbr() geom.Rect { return mbrOf(n.entries) }
 
 // New returns an empty R*-tree for dim-dimensional data with the given
 // fanout (maximum entries per node; DefaultFanout if <= 0). The minimum
@@ -95,6 +95,87 @@ func New(dim, fanout int) *Tree {
 		root:       &node{owner: sess, level: 0},
 		sess:       sess,
 	}
+}
+
+// BulkLoad returns a tree holding items, packed bottom-up with
+// Sort-Tile-Recursive (Leutenegger, Lopez & Edgington, ICDE 1997) instead
+// of one R* insertion per item: O(n log n) sorting on rectangle centers and
+// no chooseSubtree, reinsert or split work. Each level spreads its entries
+// evenly over ⌈len/fanout⌉ nodes, so every non-root node holds at least
+// the R* minimum fill and the result satisfies the same invariants as an
+// insert-built tree; later Insert and Delete calls maintain it by the R*
+// rules. fanout is interpreted as in New. items is not modified; the tree
+// shares the items' rectangles, as Insert does. Center order is undefined
+// for NaN coordinates, which callers must reject beforehand.
+func BulkLoad(dim, fanout int, items []Item) *Tree {
+	t := New(dim, fanout)
+	if len(items) == 0 {
+		return t
+	}
+	level := make([]entry, len(items))
+	for i, it := range items {
+		if it.Rect.Dim() != dim {
+			panic(fmt.Sprintf("rtree: item dim %d, tree dim %d", it.Rect.Dim(), dim))
+		}
+		level[i] = entry{rect: it.Rect, item: it}
+	}
+	height := 0
+	for len(level) > t.maxEntries {
+		groups := t.strGroups(level)
+		parents := make([]entry, len(groups))
+		for i, g := range groups {
+			parents[i] = entry{rect: mbrOf(g), child: &node{owner: t.sess, level: height, entries: g}}
+		}
+		level = parents
+		height++
+	}
+	t.root = &node{owner: t.sess, level: height, entries: level}
+	t.size = len(items)
+	return t
+}
+
+// strGroups tiles es (sorting it in place) into p = ⌈len(es)/maxEntries⌉
+// groups of ⌊len/p⌋ or ⌈len/p⌉ entries: sort on the first axis's centers,
+// cut into ⌈p^(1/d)⌉ slabs, and recurse on the remaining axes within each
+// slab. Each group is capped at its length so that a later append to one
+// node's entries can never overwrite its neighbor's.
+func (t *Tree) strGroups(es []entry) [][]entry {
+	p := (len(es) + t.maxEntries - 1) / t.maxEntries
+	groups := make([][]entry, 0, p)
+	var tile func(es []entry, p, axis int)
+	tile = func(es []entry, p, axis int) {
+		if p == 1 {
+			groups = append(groups, es[:len(es):len(es)])
+			return
+		}
+		sortByCenter(es, axis)
+		slabs := p // the last axis cuts straight into groups
+		if axis < t.dim-1 {
+			slabs = int(math.Ceil(math.Pow(float64(p), 1/float64(t.dim-axis))))
+			slabs = min(slabs, p)
+		}
+		// Slab i takes groups [i*p/slabs, (i+1)*p/slabs) and their share
+		// of the entries, so group sizes stay within one of each other.
+		for i := 0; i < slabs; i++ {
+			g0, g1 := i*p/slabs, (i+1)*p/slabs
+			lo, hi := g0*len(es)/p, g1*len(es)/p
+			if axis == t.dim-1 {
+				groups = append(groups, es[lo:hi:hi])
+			} else {
+				tile(es[lo:hi], g1-g0, axis+1)
+			}
+		}
+	}
+	tile(es, p, 0)
+	return groups
+}
+
+// sortByCenter orders es by the center of their rectangles on axis (the
+// sum Lo+Hi orders centers without the halving).
+func sortByCenter(es []entry, axis int) {
+	slices.SortFunc(es, func(a, b entry) int {
+		return cmp.Compare(a.rect.Lo[axis]+a.rect.Hi[axis], b.rect.Lo[axis]+b.rect.Hi[axis])
+	})
 }
 
 // CloneCOW returns a mutable copy-on-write descendant of t that initially
@@ -216,28 +297,26 @@ func (t *Tree) insertRec(n *node, e entry, level int, reinserted map[int]bool, q
 
 // chooseSubtree picks the child to descend into, per R*: at the level above
 // leaves minimize overlap enlargement; above that minimize area enlargement.
+// It allocates nothing: every volume is computed in place, with the same
+// products in the same order as the Union/Intersection forms, so ties break
+// exactly as they would with materialized rectangles.
 func (t *Tree) chooseSubtree(n *node, r geom.Rect) int {
 	best := 0
 	if n.level == 1 {
 		// Minimum overlap enlargement, ties by area enlargement then area.
 		bestOverlap, bestEnl, bestArea := math.Inf(1), math.Inf(1), math.Inf(1)
 		for i, e := range n.entries {
-			enlarged := e.rect.Union(r)
 			var overlapBefore, overlapAfter float64
 			for j, f := range n.entries {
 				if i == j {
 					continue
 				}
-				if inter, ok := e.rect.Intersection(f.rect); ok {
-					overlapBefore += inter.Volume()
-				}
-				if inter, ok := enlarged.Intersection(f.rect); ok {
-					overlapAfter += inter.Volume()
-				}
+				overlapBefore += e.rect.OverlapVolume(f.rect)
+				overlapAfter += enlargedOverlapVolume(e.rect, r, f.rect)
 			}
 			dOverlap := overlapAfter - overlapBefore
-			enl := enlarged.Volume() - e.rect.Volume()
 			area := e.rect.Volume()
+			enl := e.rect.UnionVolume(r) - area
 			if dOverlap < bestOverlap ||
 				(dOverlap == bestOverlap && enl < bestEnl) ||
 				(dOverlap == bestOverlap && enl == bestEnl && area < bestArea) {
@@ -248,13 +327,28 @@ func (t *Tree) chooseSubtree(n *node, r geom.Rect) int {
 	}
 	bestEnl, bestArea := math.Inf(1), math.Inf(1)
 	for i, e := range n.entries {
-		enl := e.rect.Union(r).Volume() - e.rect.Volume()
 		area := e.rect.Volume()
+		enl := e.rect.UnionVolume(r) - area
 		if enl < bestEnl || (enl == bestEnl && area < bestArea) {
 			best, bestEnl, bestArea = i, enl, area
 		}
 	}
 	return best
+}
+
+// enlargedOverlapVolume is e.Union(r).OverlapVolume(f) without
+// materializing the union.
+func enlargedOverlapVolume(e, r, f geom.Rect) float64 {
+	v := 1.0
+	for i := range e.Lo {
+		lo := math.Max(math.Min(e.Lo[i], r.Lo[i]), f.Lo[i])
+		hi := math.Min(math.Max(e.Hi[i], r.Hi[i]), f.Hi[i])
+		if lo > hi {
+			return 0
+		}
+		v *= hi - lo
+	}
+	return v
 }
 
 // forcedReinsert removes the 30% of n's entries whose centers are farthest
@@ -287,18 +381,24 @@ func (t *Tree) forcedReinsert(n *node, queue *[]pendingEntry) {
 }
 
 // splitNode performs the R* topological split and returns the new sibling.
+// The margin, overlap and area scores read the prefix and suffix MBRs of
+// each sort order from the tree's scratch rectangles, so scoring allocates
+// nothing; the values equal those of materialized MBRs, so the chosen split
+// does too.
 func (t *Tree) splitNode(n *node) *node {
 	entries := n.entries
 	m := t.minEntries
+	pre, suf := t.splitScratch(len(entries))
 
 	// Choose split axis: minimize total margin over all distributions.
 	bestAxis, bestMargin := 0, math.Inf(1)
 	for axis := 0; axis < t.dim; axis++ {
-		for _, byUpper := range []bool{false, true} {
+		for _, byUpper := range [2]bool{false, true} {
 			sortEntries(entries, axis, byUpper)
+			sweepMBRs(entries, pre, suf)
 			var margin float64
 			for k := m; k <= len(entries)-m; k++ {
-				margin += mbrOf(entries[:k]).Margin() + mbrOf(entries[k:]).Margin()
+				margin += pre[k].Margin() + suf[k].Margin()
 			}
 			if margin < bestMargin {
 				bestMargin, bestAxis = margin, axis
@@ -309,14 +409,12 @@ func (t *Tree) splitNode(n *node) *node {
 	// Choose distribution along the best axis: minimize overlap, tie by area.
 	bestK, bestUpper := -1, false
 	bestOverlap, bestArea := math.Inf(1), math.Inf(1)
-	for _, byUpper := range []bool{false, true} {
+	for _, byUpper := range [2]bool{false, true} {
 		sortEntries(entries, bestAxis, byUpper)
+		sweepMBRs(entries, pre, suf)
 		for k := m; k <= len(entries)-m; k++ {
-			left, right := mbrOf(entries[:k]), mbrOf(entries[k:])
-			var overlap float64
-			if inter, ok := left.Intersection(right); ok {
-				overlap = inter.Volume()
-			}
+			left, right := pre[k], suf[k]
+			overlap := left.OverlapVolume(right)
 			area := left.Volume() + right.Volume()
 			if overlap < bestOverlap || (overlap == bestOverlap && area < bestArea) {
 				bestOverlap, bestArea, bestK, bestUpper = overlap, area, k, byUpper
@@ -331,27 +429,81 @@ func (t *Tree) splitNode(n *node) *node {
 	return sibling
 }
 
+// splitScratch returns the tree's prefix and suffix MBR buffers for an
+// overflowing node of n <= maxEntries+1 entries, allocating them on the
+// handle's first split.
+func (t *Tree) splitScratch(n int) (pre, suf []geom.Rect) {
+	if t.scratch == nil {
+		k := 2 * (t.maxEntries + 2)
+		buf := make([]float64, 2*t.dim*k)
+		t.scratch = make([]geom.Rect, k)
+		for i := range t.scratch {
+			lo := buf[2*t.dim*i:]
+			t.scratch[i] = geom.Rect{Lo: lo[:t.dim:t.dim], Hi: lo[t.dim : 2*t.dim : 2*t.dim]}
+		}
+	}
+	return t.scratch[:n+1], t.scratch[n+1 : 2*(n+1)]
+}
+
+// sweepMBRs fills pre[k] with the MBR of es[:k] (k >= 1) and suf[k] with
+// the MBR of es[k:] (k < len(es)).
+func sweepMBRs(es []entry, pre, suf []geom.Rect) {
+	n := len(es)
+	setRect(pre[1], es[0].rect)
+	for k := 2; k <= n; k++ {
+		setRect(pre[k], pre[k-1])
+		growTo(pre[k], es[k-1].rect)
+	}
+	setRect(suf[n-1], es[n-1].rect)
+	for k := n - 2; k >= 0; k-- {
+		setRect(suf[k], suf[k+1])
+		growTo(suf[k], es[k].rect)
+	}
+}
+
+// setRect copies s's corners into r's buffers.
+func setRect(r, s geom.Rect) {
+	copy(r.Lo, s.Lo)
+	copy(r.Hi, s.Hi)
+}
+
 func sortEntries(es []entry, axis int, byUpper bool) {
-	sort.Slice(es, func(i, j int) bool {
+	slices.SortFunc(es, func(a, b entry) int {
 		if byUpper {
-			if es[i].rect.Hi[axis] != es[j].rect.Hi[axis] {
-				return es[i].rect.Hi[axis] < es[j].rect.Hi[axis]
+			if c := cmp.Compare(a.rect.Hi[axis], b.rect.Hi[axis]); c != 0 {
+				return c
 			}
-			return es[i].rect.Lo[axis] < es[j].rect.Lo[axis]
+			return cmp.Compare(a.rect.Lo[axis], b.rect.Lo[axis])
 		}
-		if es[i].rect.Lo[axis] != es[j].rect.Lo[axis] {
-			return es[i].rect.Lo[axis] < es[j].rect.Lo[axis]
+		if c := cmp.Compare(a.rect.Lo[axis], b.rect.Lo[axis]); c != 0 {
+			return c
 		}
-		return es[i].rect.Hi[axis] < es[j].rect.Hi[axis]
+		return cmp.Compare(a.rect.Hi[axis], b.rect.Hi[axis])
 	})
 }
 
+// mbrOf returns a freshly allocated MBR of es (one allocation for both
+// corners): stored rectangles are shared across copy-on-write versions and
+// never mutated in place.
 func mbrOf(es []entry) geom.Rect {
-	r := es[0].rect
+	d := len(es[0].rect.Lo)
+	buf := make([]float64, 2*d)
+	r := geom.Rect{Lo: buf[:d:d], Hi: buf[d:]}
+	copy(r.Lo, es[0].rect.Lo)
+	copy(r.Hi, es[0].rect.Hi)
 	for _, e := range es[1:] {
-		r = r.Union(e.rect)
+		growTo(r, e.rect)
 	}
 	return r
+}
+
+// growTo widens r in place to cover s, with the same min/max per
+// coordinate as r.Union(s).
+func growTo(r, s geom.Rect) {
+	for i := range r.Lo {
+		r.Lo[i] = math.Min(r.Lo[i], s.Lo[i])
+		r.Hi[i] = math.Max(r.Hi[i], s.Hi[i])
+	}
 }
 
 // Delete removes the item with the given rect and ID. It reports whether an

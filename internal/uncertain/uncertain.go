@@ -36,10 +36,19 @@ type Object struct {
 // Dim returns the dimensionality of the object.
 func (o *Object) Dim() int { return o.Region.Dim() }
 
-// Validate checks structural invariants: a well-formed region, instances
-// inside the region, and probabilities summing to ~1 when present.
+// Validate checks structural invariants: a well-formed region with finite
+// bounds, finite instances inside the region, and finite non-negative
+// probabilities summing to ~1 when present. NaN and ±Inf are rejected
+// everywhere: they make distance and center orderings inconsistent, which
+// the index structures sort on.
 func (o *Object) Validate() error {
+	if len(o.Region.Lo) != len(o.Region.Hi) {
+		return fmt.Errorf("object %d: region corners have dims %d and %d", o.ID, len(o.Region.Lo), len(o.Region.Hi))
+	}
 	for i := range o.Region.Lo {
+		if !finite(o.Region.Lo[i]) || !finite(o.Region.Hi[i]) {
+			return fmt.Errorf("object %d: non-finite region bound in dim %d: [%g, %g]", o.ID, i, o.Region.Lo[i], o.Region.Hi[i])
+		}
 		if o.Region.Lo[i] > o.Region.Hi[i] {
 			return fmt.Errorf("object %d: inverted region in dim %d", o.ID, i)
 		}
@@ -52,11 +61,16 @@ func (o *Object) Validate() error {
 		if in.Pos.Dim() != o.Dim() {
 			return fmt.Errorf("object %d: instance dim %d != region dim %d", o.ID, in.Pos.Dim(), o.Dim())
 		}
+		for _, x := range in.Pos {
+			if !finite(x) {
+				return fmt.Errorf("object %d: non-finite instance coordinate in %v", o.ID, in.Pos)
+			}
+		}
 		if !o.Region.Contains(in.Pos) {
 			return fmt.Errorf("object %d: instance %v outside region %v", o.ID, in.Pos, o.Region)
 		}
-		if in.Prob < 0 {
-			return fmt.Errorf("object %d: negative instance probability %g", o.ID, in.Prob)
+		if !finite(in.Prob) || in.Prob < 0 {
+			return fmt.Errorf("object %d: invalid instance probability %g", o.ID, in.Prob)
 		}
 		sum += in.Prob
 	}
@@ -65,6 +79,8 @@ func (o *Object) Validate() error {
 	}
 	return nil
 }
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // MinDist is distmin(o, p): the smallest possible distance from o's attribute
 // value to p, i.e. the minimum distance from p to u(o).

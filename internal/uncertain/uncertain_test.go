@@ -44,6 +44,43 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsNonFinite covers the inputs that slip past ordered
+// comparisons: NaN and ±Inf region bounds, mismatched corner lengths, NaN
+// instance coordinates and NaN probabilities.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	valid := func() *Object {
+		return &Object{ID: 1, Region: region2D(0, 0, 10, 10), Instances: []Instance{
+			{Pos: geom.Point{1, 1}, Prob: 0.5},
+			{Pos: geom.Point{9, 9}, Prob: 0.5},
+		}}
+	}
+	cases := map[string]func(o *Object){
+		"NaN lo":          func(o *Object) { o.Region.Lo[0] = nan },
+		"NaN hi":          func(o *Object) { o.Region.Hi[1] = nan },
+		"+Inf hi":         func(o *Object) { o.Region.Hi[0] = inf },
+		"-Inf lo":         func(o *Object) { o.Region.Lo[1] = -inf },
+		"corner mismatch": func(o *Object) { o.Region.Hi = o.Region.Hi[:1] },
+		"NaN instance":    func(o *Object) { o.Instances[0].Pos[1] = nan },
+		"NaN probability": func(o *Object) { o.Instances[1].Prob = nan },
+		"Inf probability": func(o *Object) { o.Instances[1].Prob = inf },
+		"NaN lo, no pdf": func(o *Object) {
+			o.Instances = nil
+			o.Region.Lo[0] = nan
+		},
+	}
+	if err := valid().Validate(); err != nil {
+		t.Fatalf("valid object rejected: %v", err)
+	}
+	for name, corrupt := range cases {
+		o := valid()
+		corrupt(o)
+		if err := o.Validate(); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
 func TestSampleInstances(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	region := region2D(10, 20, 14, 26)

@@ -162,12 +162,13 @@ func Build(db *uncertain.DB, cfg Config) (*Index, error) {
 	}
 
 	// Index circle bounding squares for neighbor retrieval.
-	tree := rtree.New(2, rtree.DefaultFanout)
+	items := make([]rtree.Item, 0, db.Len())
 	for _, o := range db.Objects() {
 		c := CircleOf(o.Region)
 		ix.circles[uint32(o.ID)] = c
-		tree.Insert(rtree.Item{Rect: c.BoundingSquare(), ID: uint32(o.ID)})
+		items = append(items, rtree.Item{Rect: c.BoundingSquare(), ID: uint32(o.ID)})
 	}
+	tree := rtree.BulkLoad(2, rtree.DefaultFanout, items)
 
 	for _, o := range db.Objects() {
 		id := uint32(o.ID)

@@ -162,6 +162,59 @@ func TestPublicAPIUpdates(t *testing.T) {
 	}
 }
 
+// TestPublicAPIRejectsNonFinite checks the write boundary: an object with a
+// NaN or infinite region bound, or a NaN instance, is refused by Insert and
+// fails its whole ApplyBatch, and the index is left exactly as it was.
+func TestPublicAPIRejectsNonFinite(t *testing.T) {
+	db := buildSmallDB(t, 60, false)
+	ix, err := Build(db, testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := Point{500, 500}
+	wantCands, err := ix.PossibleNN(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantLen, wantEpoch := ix.Len(), ix.Epoch()
+
+	good := &Object{ID: 900, Region: NewRect(Point{480, 480}, Point{520, 520})}
+	bad := map[string]*Object{
+		"NaN bound": {ID: 901, Region: Rect{Lo: Point{math.NaN(), 10}, Hi: Point{20, 20}}},
+		"Inf bound": {ID: 902, Region: Rect{Lo: Point{10, 10}, Hi: Point{math.Inf(1), 20}}},
+		"NaN instance": {ID: 903, Region: NewRect(Point{10, 10}, Point{20, 20}),
+			Instances: []Instance{{Pos: Point{15, math.NaN()}, Prob: 1}}},
+	}
+	for name, o := range bad {
+		if err := ix.Insert(o); err == nil {
+			t.Errorf("%s: Insert accepted", name)
+		}
+		if _, err := ix.ApplyBatch([]Update{InsertOp(good), InsertOp(o)}); err == nil {
+			t.Errorf("%s: ApplyBatch accepted", name)
+		}
+	}
+
+	if ix.Len() != wantLen || ix.Epoch() != wantEpoch {
+		t.Fatalf("rejected writes changed the index: len %d->%d, epoch %d->%d",
+			wantLen, ix.Len(), wantEpoch, ix.Epoch())
+	}
+	if _, ok := ix.UBR(good.ID); ok {
+		t.Fatal("valid op of a rejected batch was applied")
+	}
+	gotCands, err := ix.PossibleNN(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(gotCands) != len(wantCands) {
+		t.Fatalf("answers changed after rejected writes: %d vs %d candidates", len(gotCands), len(wantCands))
+	}
+	for i := range gotCands {
+		if gotCands[i].ID != wantCands[i].ID {
+			t.Fatalf("answers changed after rejected writes: %v vs %v", gotCands, wantCands)
+		}
+	}
+}
+
 func TestPublicAPIUBRAndIO(t *testing.T) {
 	db := buildSmallDB(t, 50, false)
 	ix, err := Build(db, testOptions())
