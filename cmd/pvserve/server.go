@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -61,10 +62,16 @@ func newDurableServer(d *pvoronoi.Durable) *server {
 }
 
 // checkPoint rejects points whose dimensionality doesn't match the indexed
-// domain (the geometry layer assumes matching dims and would panic).
+// domain, and non-finite coordinates (the GET form parses "NaN" and "Inf"),
+// with a 400 before the index sees them.
 func (s *server) checkPoint(p pvoronoi.Point) error {
 	if len(p) != s.dim {
 		return fmt.Errorf("point has %d coordinates, domain is %d-dimensional", len(p), s.dim)
+	}
+	for _, x := range p {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return fmt.Errorf("point has a non-finite coordinate: %v", p)
+		}
 	}
 	return nil
 }

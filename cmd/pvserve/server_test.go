@@ -177,6 +177,17 @@ func TestServeEndpoints(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("1-d group point on 2-d index: status %d, want 400", resp.StatusCode)
 	}
+	// The GET form parses NaN and Inf; they are rejected before the index.
+	for _, p := range []string{"NaN,500", "500,Inf", "-Inf,500"} {
+		r, err := http.Get(ts.URL + "/v1/query?point=" + p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Body.Close()
+		if r.StatusCode != http.StatusBadRequest {
+			t.Fatalf("point %s: status %d, want 400", p, r.StatusCode)
+		}
+	}
 
 	// Duplicate insert conflicts; delete works; unknown delete is 404.
 	resp, _ = postJSON(t, ts, "/v1/insert", map[string]any{

@@ -119,42 +119,54 @@ func computeUBRBounds(db *uncertain.DB, tree *rtree.Tree, o *uncertain.Object, o
 	}
 	tester := domination.NewTester(regions, o.Region, opts.MaxDepth)
 
-	d := o.Dim()
-	delta := opts.Delta
+	st.Iterations, st.Shrinks, st.Expands = shrinkExpand(tester, l, h, opts.Delta)
+	st.DominationTests = tester.Tests
+	return h, st
+}
+
+// shrinkExpand is SE's bisection loop, shared by the base pass and the
+// refinement re-run: l ⊆ M(o) ⊆ h is maintained as h shrinks and l expands,
+// in place, until every directional gap is below delta. Each step tests the
+// slab between h's boundary and the midplane toward l: a prunable slab is
+// cut off h, otherwise l grows to the midplane. It returns the steps
+// taken, and how many shrank h and expanded l.
+func shrinkExpand(tester *domination.Tester, l, h geom.Rect, delta float64) (iters, shrinks, expands int) {
 	if delta <= 0 {
 		delta = 1e-9 // Δ=0 would loop forever on irrational boundaries
 	}
-
+	slab := h.Clone()
 	for maxGap(l, h) >= delta {
 		progressed := false
-		for j := 0; j < d; j++ {
+		for j := range h.Lo {
 			// Low direction: candidate slab between h.Lo and the midplane.
 			if h.Lo[j] < l.Lo[j] {
 				mid := (h.Lo[j] + l.Lo[j]) / 2
-				slab := h.Clone()
+				copy(slab.Lo, h.Lo)
+				copy(slab.Hi, h.Hi)
 				slab.Hi[j] = mid
-				st.Iterations++
+				iters++
 				if tester.RegionPrunable(slab) {
 					h.Lo[j] = mid
-					st.Shrinks++
+					shrinks++
 				} else {
 					l.Lo[j] = mid
-					st.Expands++
+					expands++
 				}
 				progressed = true
 			}
 			// High direction: candidate slab between the midplane and h.Hi.
 			if h.Hi[j] > l.Hi[j] {
 				mid := (h.Hi[j] + l.Hi[j]) / 2
-				slab := h.Clone()
+				copy(slab.Lo, h.Lo)
+				copy(slab.Hi, h.Hi)
 				slab.Lo[j] = mid
-				st.Iterations++
+				iters++
 				if tester.RegionPrunable(slab) {
 					h.Hi[j] = mid
-					st.Shrinks++
+					shrinks++
 				} else {
 					l.Hi[j] = mid
-					st.Expands++
+					expands++
 				}
 				progressed = true
 			}
@@ -163,8 +175,7 @@ func computeUBRBounds(db *uncertain.DB, tree *rtree.Tree, o *uncertain.Object, o
 			break
 		}
 	}
-	st.DominationTests = tester.Tests
-	return h, st
+	return iters, shrinks, expands
 }
 
 // maxGap returns |h − l|_d: the largest per-direction distance between the

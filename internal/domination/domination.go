@@ -16,11 +16,7 @@
 // is attained at one of the two endpoints (see the derivation in DESIGN.md §4).
 package domination
 
-import (
-	"math"
-
-	"pvoronoi/internal/geom"
-)
+import "pvoronoi/internal/geom"
 
 // Dominates reports whether rectangle a spatially dominates rectangle b with
 // respect to region r: for all points x ∈ a, y ∈ b, z ∈ r, dist(x,z) < dist(y,z).
@@ -39,7 +35,10 @@ func Dominates(a, b, r geom.Rect) bool {
 func axisMaxDiff(alo, ahi, blo, bhi, rlo, rhi float64) float64 {
 	at := geom.AxisMaxDist2(rlo, alo, ahi) - geom.AxisMinDist2(rlo, blo, bhi)
 	bt := geom.AxisMaxDist2(rhi, alo, ahi) - geom.AxisMinDist2(rhi, blo, bhi)
-	return math.Max(at, bt)
+	if at > bt {
+		return at
+	}
+	return bt
 }
 
 // DomNonEmpty reports whether dom(a, b) ≠ ∅. By Lemma 2 of the paper this
@@ -71,7 +70,11 @@ func CannotDominate(a, b, r geom.Rect) bool {
 		// max over p_j of axisMinDist²(b_j, ·): attained at an endpoint.
 		lo := geom.AxisMinDist2(r.Lo[j], b.Lo[j], b.Hi[j])
 		hi := geom.AxisMinDist2(r.Hi[j], b.Lo[j], b.Hi[j])
-		ubMin += math.Max(lo, hi)
+		if lo > hi {
+			ubMin += lo
+		} else {
+			ubMin += hi
+		}
 	}
 	return lbMax >= ubMin
 }
@@ -93,26 +96,61 @@ func PointDominated(a, b geom.Rect, p geom.Point) bool {
 // finer partitioning detects more prunable regions but costs more domination
 // tests). The test is conservative: it may answer "not prunable" for a
 // prunable region, never the opposite.
+//
+// NewTester copies the candidate and target bounds into one flat array, and
+// the recursion runs over reusable scratch (an index stack of live
+// candidates and one in-place bisected box), so RegionPrunable allocates
+// nothing once its stack has grown. The kernels compare with plain < and >,
+// which presumes finite coordinates: the index enforces that at its
+// boundary (Object.Validate on every built or inserted object, and query
+// point validation before any tester sees a query point as its target). A
+// Tester is not safe for concurrent use.
 type Tester struct {
-	// Candidates are the uncertainty regions of the C-set objects.
-	Candidates []geom.Rect
-	// Target is u(o), the region of the object whose PV-cell is bounded.
-	Target geom.Rect
 	// MaxDepth bounds the recursive bisection of the tested region.
 	// Depth m allows up to 2^m parts. The paper's default m_max=10.
 	MaxDepth int
 
-	// Tests counts individual Dominates calls, for the harness's
-	// cost accounting (Fig. 10(e)).
+	// Tests counts individual candidate domination decisions, for the
+	// harness's cost accounting (Fig. 10(e)).
 	Tests int64
+
+	d, n  int
+	cands []float64 // candidate i's axis j at [2d·i+2j] (lo), [2d·i+2j+1] (hi)
+	tgt   []float64 // the target's bounds, interleaved like a candidate
+	box   []float64 // the part under test, interleaved; bisected in place
+	tmin  []float64 // the current part's per-axis mindist² terms to the target
+	idx   []int32   // stack of live-candidate windows, one per recursion level
 }
 
-// NewTester builds a Tester over the given candidate regions.
+// NewTester builds a Tester over the given candidate regions. The bounds are
+// copied: later changes to candidates or target do not affect the Tester.
 func NewTester(candidates []geom.Rect, target geom.Rect, maxDepth int) *Tester {
 	if maxDepth < 0 {
 		maxDepth = 0
 	}
-	return &Tester{Candidates: candidates, Target: target, MaxDepth: maxDepth}
+	d, n := target.Dim(), len(candidates)
+	buf := make([]float64, 2*d*(n+3))
+	t := &Tester{
+		MaxDepth: maxDepth,
+		d:        d,
+		n:        n,
+		cands:    buf[:2*d*n],
+		tgt:      buf[2*d*n : 2*d*(n+1)],
+		box:      buf[2*d*(n+1) : 2*d*(n+2)],
+		tmin:     buf[2*d*(n+2):],
+		idx:      make([]int32, n, 4*n),
+	}
+	for i, c := range candidates {
+		row := t.cands[2*d*i:]
+		for j := 0; j < d; j++ {
+			row[2*j], row[2*j+1] = c.Lo[j], c.Hi[j]
+		}
+		t.idx[i] = int32(i)
+	}
+	for j := 0; j < d; j++ {
+		t.tgt[2*j], t.tgt[2*j+1] = target.Lo[j], target.Hi[j]
+	}
+	return t
 }
 
 // RegionPrunable reports whether region r is disjoint from I(Cset, o), i.e.
@@ -123,46 +161,90 @@ func NewTester(candidates []geom.Rect, target geom.Rect, maxDepth int) *Tester {
 // them nearest-first from the target, which makes the short-circuiting scan
 // find slab dominators early without any per-call reordering.
 func (t *Tester) RegionPrunable(r geom.Rect) bool {
-	return t.prunable(r, t.MaxDepth)
+	for j := 0; j < t.d; j++ {
+		t.box[2*j], t.box[2*j+1] = r.Lo[j], r.Hi[j]
+	}
+	return t.prunable(0, t.n, t.MaxDepth)
 }
 
-func (t *Tester) prunable(r geom.Rect, depth int) bool {
-	// Filter to candidates that can still dominate some part of r: a
-	// candidate proven unable to dominate any point of r stays useless for
-	// every sub-part, so drop it before recursing. Most slabs either find a
-	// single dominator here or lose all candidates, terminating early.
-	live := t.Candidates[:0:0]
-	for _, c := range t.Candidates {
+// prunable decides the current box against the live candidates
+// idx[base:end]. Candidates that survive the filter are pushed as the
+// window idx[end:live] that both halves of the box recurse over.
+func (t *Tester) prunable(base, end, depth int) bool {
+	d, box, tgt, tmin := t.d, t.box, t.tgt, t.tmin
+	// The target's mindist² terms depend on the box only: compute them once
+	// per part instead of once per candidate.
+	var ubMin float64
+	for j := 0; j < d; j++ {
+		lo := geom.AxisMinDist2(box[2*j], tgt[2*j], tgt[2*j+1])
+		hi := geom.AxisMinDist2(box[2*j+1], tgt[2*j], tgt[2*j+1])
+		tmin[2*j], tmin[2*j+1] = lo, hi
+		if lo > hi {
+			ubMin += lo
+		} else {
+			ubMin += hi
+		}
+	}
+
+	// Filter to candidates that can still dominate some part of the box: a
+	// candidate proven unable to dominate any point of it (CannotDominate)
+	// stays useless for every sub-part, so drop it before recursing. Most
+	// slabs either find a single dominator here or lose all candidates,
+	// terminating early. sum is Dominates' criterion, lbMax CannotDominate's.
+	live := end
+	for k := base; k < end; k++ {
+		i := t.idx[k]
+		c := t.cands[2*d*int(i) : 2*d*int(i)+2*d]
 		t.Tests++
-		if Dominates(c, t.Target, r) {
+		var sum, lbMax float64
+		for j := 0; j < d; j++ {
+			alo, ahi := c[2*j], c[2*j+1]
+			rlo, rhi := box[2*j], box[2*j+1]
+			at := geom.AxisMaxDist2(rlo, alo, ahi) - tmin[2*j]
+			bt := geom.AxisMaxDist2(rhi, alo, ahi) - tmin[2*j+1]
+			if at > bt {
+				sum += at
+			} else {
+				sum += bt
+			}
+			p := (alo + ahi) / 2
+			if p < rlo {
+				p = rlo
+			} else if p > rhi {
+				p = rhi
+			}
+			lbMax += geom.AxisMaxDist2(p, alo, ahi)
+		}
+		if sum < 0 {
 			return true
 		}
-		if !CannotDominate(c, t.Target, r) {
-			live = append(live, c)
+		if lbMax < ubMin {
+			t.idx = append(t.idx[:live], i)
+			live++
 		}
 	}
-	if depth == 0 || len(live) == 0 {
+	if depth <= 0 || live == end {
 		return false
 	}
-	lo, hi := bisect(r)
-	sub := &Tester{Candidates: live, Target: t.Target, MaxDepth: depth - 1}
-	ok := sub.prunable(lo, depth-1) && sub.prunable(hi, depth-1)
-	t.Tests += sub.Tests
-	return ok
-}
 
-// bisect splits r into two halves along its longest side.
-func bisect(r geom.Rect) (geom.Rect, geom.Rect) {
+	// Bisect the box along its longest side, in place, restoring it after
+	// each half.
 	best := 0
-	for j := 1; j < r.Dim(); j++ {
-		if r.Side(j) > r.Side(best) {
+	for j := 1; j < d; j++ {
+		if box[2*j+1]-box[2*j] > box[2*best+1]-box[2*best] {
 			best = j
 		}
 	}
-	mid := (r.Lo[best] + r.Hi[best]) / 2
-	lo := r.Clone()
-	hi := r.Clone()
-	lo.Hi[best] = mid
-	hi.Lo[best] = mid
-	return lo, hi
+	lo, hi := box[2*best], box[2*best+1]
+	mid := (lo + hi) / 2
+	box[2*best+1] = mid
+	ok := t.prunable(end, live, depth-1)
+	box[2*best+1] = hi
+	if !ok {
+		return false
+	}
+	box[2*best] = mid
+	ok = t.prunable(end, live, depth-1)
+	box[2*best] = lo
+	return ok
 }

@@ -334,14 +334,26 @@ func axisMaxDist(x, lo, hi float64) float64 {
 // AxisMinDist2 returns the squared 1-D minimum distance from x to [lo, hi].
 // Exported for the domination package's per-dimension decomposition.
 func AxisMinDist2(x, lo, hi float64) float64 {
-	d := axisMinDist(x, lo, hi)
-	return d * d
+	if x < lo {
+		return (lo - x) * (lo - x)
+	}
+	if x > hi {
+		return (x - hi) * (x - hi)
+	}
+	return 0
 }
 
 // AxisMaxDist2 returns the squared 1-D maximum distance from x to [lo, hi].
+// Squaring drops the signs, so it compares the two squared endpoint
+// distances directly; on finite inputs the result equals the square of
+// axisMaxDist bit for bit (±0 included). A NaN input need not propagate.
 func AxisMaxDist2(x, lo, hi float64) float64 {
-	d := axisMaxDist(x, lo, hi)
-	return d * d
+	a := (x - lo) * (x - lo)
+	b := (x - hi) * (x - hi)
+	if a > b {
+		return a
+	}
+	return b
 }
 
 // String renders r as "[lo; hi]".

@@ -347,3 +347,51 @@ func BenchmarkMinDist2(b *testing.B) {
 		_ = r.MinDist2(p)
 	}
 }
+
+// TestAxisDist2MatchMaxForm pins the comparison-based AxisMaxDist2 and
+// AxisMinDist2 to the math.Max/math.Abs forms bit for bit on finite inputs
+// with lo <= hi, signed zeros and touching endpoints included.
+func TestAxisDist2MatchMaxForm(t *testing.T) {
+	maxForm := func(x, lo, hi float64) float64 {
+		d := math.Max(math.Abs(x-lo), math.Abs(x-hi))
+		return d * d
+	}
+	minForm := func(x, lo, hi float64) float64 {
+		d := math.Max(math.Max(lo-x, x-hi), 0)
+		return d * d
+	}
+	negZero := math.Copysign(0, -1)
+	special := []float64{0, negZero, 1, -1, 0.5, -0.5, 1e-300, -1e-300, 3, 1e150, -1e150, math.SmallestNonzeroFloat64}
+	check := func(x, lo, hi float64) {
+		if lo > hi {
+			lo, hi = hi, lo
+		}
+		if got, want := AxisMaxDist2(x, lo, hi), maxForm(x, lo, hi); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("AxisMaxDist2(%g, %g, %g) = %g (%#x), math.Max form %g (%#x)", x, lo, hi, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+		if got, want := AxisMinDist2(x, lo, hi), minForm(x, lo, hi); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("AxisMinDist2(%g, %g, %g) = %g (%#x), math.Max form %g (%#x)", x, lo, hi, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	for _, x := range special {
+		for _, lo := range special {
+			for _, hi := range special {
+				check(x, lo, hi)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 200000; i++ {
+		v := func() float64 {
+			switch rng.Intn(4) {
+			case 0:
+				return float64(rng.Intn(9) - 4) // exact ties and touching endpoints
+			case 1:
+				return special[rng.Intn(len(special))]
+			default:
+				return (rng.Float64() - 0.5) * math.Pow(10, float64(rng.Intn(40)-20))
+			}
+		}
+		check(v(), v(), v())
+	}
+}

@@ -111,6 +111,11 @@ func putSeeds(seeds []uint32) {
 // best-first expansion over the adjacency graph from the aggregate-minimizer
 // anchor.
 func groupNNAt(v *version, qs []geom.Point, agg extquery.Agg) ([]uncertain.ID, ExtCost, error) {
+	for _, q := range qs {
+		if err := checkQuery(v, q); err != nil {
+			return nil, ExtCost{}, err
+		}
+	}
 	anchor := extquery.GroupAnchor(qs, agg)
 	seeds, leafIO, err := graphSeeds(v, anchor)
 	if err != nil {
@@ -124,6 +129,9 @@ func groupNNAt(v *version, qs []geom.Point, agg extquery.Agg) ([]uncertain.ID, E
 // knnAt retrieves the possible k-NN candidate set against a pinned version:
 // best-first expansion over the adjacency graph from the query point.
 func knnAt(v *version, q geom.Point, k int) ([]uncertain.ID, ExtCost, error) {
+	if err := checkQuery(v, q); err != nil {
+		return nil, ExtCost{}, err
+	}
 	seeds, leafIO, err := graphSeeds(v, q)
 	if err != nil {
 		return nil, ExtCost{LeafIO: leafIO}, err
@@ -193,6 +201,9 @@ func (ix *Index) KNNCandidatesOnly(q geom.Point, k int) ([]uncertain.ID, ExtCost
 func (ix *Index) RNNCandidates(q geom.Point) ([]uncertain.ID, ExtCost, error) {
 	v := ix.pin()
 	defer ix.unpin(v)
+	if err := checkQuery(v, q); err != nil {
+		return nil, ExtCost{}, err
+	}
 	ids, tc := extquery.RNNCandidatesTree(v.regionTree, q, ix.cfg.SE.MaxDepth)
 	return ids, ExtCost{Candidates: len(ids), NodeIO: tc.Nodes, LeafIO: tc.Leaves}, nil
 }

@@ -21,6 +21,9 @@ import (
 // paper's bulk-loading direction from its conclusion, realized as a
 // construction-time optimization.
 func BuildParallel(db *uncertain.DB, cfg Config, workers int) (*Index, error) {
+	if err := validateBuild(db); err != nil {
+		return nil, err
+	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}

@@ -7,7 +7,9 @@
 package pvindex
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -254,11 +256,56 @@ func (ix *Index) installBootstrap(w *working, walSeq uint64) {
 	ix.current.Store(w.seal(walSeq))
 }
 
+// validateBuild checks the domain and every object of a bootstrap database
+// before any SE work: the domination kernels presume finite coordinates,
+// and a NaN bound would otherwise be absorbed silently into UBRs that bound
+// nothing. DB.Add has already matched each object's dimension to the
+// domain's; Insert and ApplyBatch run the same Object.Validate per op.
+func validateBuild(db *uncertain.DB) error {
+	if !finitePoint(db.Domain.Lo) || !finitePoint(db.Domain.Hi) {
+		return fmt.Errorf("pvindex: build: non-finite domain %v", db.Domain)
+	}
+	for _, o := range db.Objects() {
+		if err := o.Validate(); err != nil {
+			return fmt.Errorf("pvindex: build: %w", err)
+		}
+	}
+	return nil
+}
+
+// ErrInvalidQuery marks a query point rejected at the API boundary: a
+// non-finite coordinate or a dimension other than the domain's.
+var ErrInvalidQuery = errors.New("pvindex: invalid query point")
+
+// checkQuery validates a query point against the pinned version's domain
+// dimension. Every public read entry point runs it before any retrieval.
+func checkQuery(v *version, q geom.Point) error {
+	if len(q) != v.db.Dim() {
+		return fmt.Errorf("%w: %d coordinates, domain is %d-dimensional", ErrInvalidQuery, len(q), v.db.Dim())
+	}
+	if !finitePoint(q) {
+		return fmt.Errorf("%w: non-finite coordinate in %v", ErrInvalidQuery, q)
+	}
+	return nil
+}
+
+func finitePoint(p geom.Point) bool {
+	for _, x := range p {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return false
+		}
+	}
+	return true
+}
+
 // Build constructs the PV-index for every object in db. The database is
 // adopted as version 1's snapshot: subsequent ApplyBatch/Insert/Delete
 // calls publish new versions with cloned bookkeeping, so read the current
 // database through Index.DB() or View rather than the original pointer.
 func Build(db *uncertain.DB, cfg Config) (*Index, error) {
+	if err := validateBuild(db); err != nil {
+		return nil, err
+	}
 	if cfg.Store == nil {
 		cfg.Store = pagestore.New(pagestore.DefaultPageSize)
 	}
@@ -707,6 +754,9 @@ func (ix *Index) PossibleNNIO(q geom.Point) ([]Candidate, int, error) {
 // surviving candidates are materialized, with their regions deep-copied
 // into a single backing array so the result owns no pooled memory.
 func (ix *Index) possibleNNAt(v *version, q geom.Point) ([]Candidate, int, error) {
+	if err := checkQuery(v, q); err != nil {
+		return nil, 0, err
+	}
 	sc := ix.scratch.Get().(*queryScratch)
 	defer ix.scratch.Put(sc)
 

@@ -11,7 +11,6 @@ package rtree
 
 import (
 	"cmp"
-	"container/heap"
 	"fmt"
 	"math"
 	"slices"
@@ -666,23 +665,54 @@ type nnHeapItem struct {
 	order int64 // tie-break for determinism
 }
 
+// nnHeap is a binary min-heap on (dist, order). Every push takes a fresh
+// order, so the pop sequence is fully determined. The typed push and pop
+// keep entries out of interfaces: a browse allocates only as the slice
+// grows.
 type nnHeap []nnHeapItem
 
-func (h nnHeap) Len() int { return len(h) }
-func (h nnHeap) Less(i, j int) bool {
+func (h nnHeap) less(i, j int) bool {
 	if h[i].dist != h[j].dist {
 		return h[i].dist < h[j].dist
 	}
 	return h[i].order < h[j].order
 }
-func (h nnHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *nnHeap) Push(x interface{}) { *h = append(*h, x.(nnHeapItem)) }
-func (h *nnHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+
+func (h *nnHeap) push(x nnHeapItem) {
+	*h = append(*h, x)
+	s := *h
+	for j := len(s) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !s.less(j, i) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		j = i
+	}
+}
+
+func (h *nnHeap) pop() nnHeapItem {
+	s := *h
+	n := len(s) - 1
+	s[0], s[n] = s[n], s[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && s.less(r, j) {
+			j = r
+		}
+		if !s.less(j, i) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		i = j
+	}
+	top := s[n]
+	s[n] = nnHeapItem{} // drop the node and rectangle references
+	*h = s[:n]
+	return top
 }
 
 // NNIter browses items in non-decreasing order of a distance function
@@ -701,15 +731,15 @@ type NNIter struct {
 func NewNNIter(t *Tree, q geom.Point, distFn DistFunc) *NNIter {
 	it := &NNIter{tree: t, q: q, distFn: distFn}
 	if t.size > 0 {
-		heap.Push(&it.h, nnHeapItem{dist: t.root.mbr().MinDist(q), node: t.root})
+		it.h.push(nnHeapItem{dist: t.root.mbr().MinDist(q), node: t.root})
 	}
 	return it
 }
 
 // Next returns the next item in distance order.
 func (it *NNIter) Next() (Item, float64, bool) {
-	for it.h.Len() > 0 {
-		top := heap.Pop(&it.h).(nnHeapItem)
+	for len(it.h) > 0 {
+		top := it.h.pop()
 		if top.node == nil {
 			return top.item, top.dist, true
 		}
@@ -718,13 +748,13 @@ func (it *NNIter) Next() (Item, float64, bool) {
 			it.tree.leafIO.Add(1)
 			for _, e := range n.entries {
 				it.counter++
-				heap.Push(&it.h, nnHeapItem{dist: it.distFn(e.rect), item: e.item, order: it.counter})
+				it.h.push(nnHeapItem{dist: it.distFn(e.rect), item: e.item, order: it.counter})
 			}
 			continue
 		}
 		for _, e := range n.entries {
 			it.counter++
-			heap.Push(&it.h, nnHeapItem{dist: e.rect.MinDist(it.q), node: e.child, order: it.counter})
+			it.h.push(nnHeapItem{dist: e.rect.MinDist(it.q), node: e.child, order: it.counter})
 		}
 	}
 	return Item{}, 0, false
@@ -747,9 +777,9 @@ func (t *Tree) PossibleNN(q geom.Point) []uint32 {
 
 	var h nnHeap
 	var counter int64
-	heap.Push(&h, nnHeapItem{dist: t.root.mbr().MinDist(q), node: t.root})
-	for h.Len() > 0 {
-		top := heap.Pop(&h).(nnHeapItem)
+	h.push(nnHeapItem{dist: t.root.mbr().MinDist(q), node: t.root})
+	for len(h) > 0 {
+		top := h.pop()
 		if top.dist > bestMax {
 			break // all remaining nodes are farther than the pruning bound
 		}
@@ -769,7 +799,7 @@ func (t *Tree) PossibleNN(q geom.Point) []uint32 {
 			d := e.rect.MinDist(q)
 			if d <= bestMax {
 				counter++
-				heap.Push(&h, nnHeapItem{dist: d, node: e.child, order: counter})
+				h.push(nnHeapItem{dist: d, node: e.child, order: counter})
 			}
 		}
 	}

@@ -198,6 +198,42 @@ func TestNNIterOrdering(t *testing.T) {
 	}
 }
 
+// TestNNHeapOrder drives the typed best-first heap with interleaved pushes
+// and pops over heavily tied distances: every pop must return the least
+// remaining (dist, order) pair, so ties break by insertion order.
+func TestNNHeapOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	var h nnHeap
+	var live []nnHeapItem
+	var order int64
+	less := func(a, b nnHeapItem) bool {
+		if a.dist != b.dist {
+			return a.dist < b.dist
+		}
+		return a.order < b.order
+	}
+	for step := 0; step < 20000; step++ {
+		if len(h) == 0 || rng.Intn(3) != 0 {
+			order++
+			x := nnHeapItem{dist: float64(rng.Intn(8)), order: order}
+			h.push(x)
+			live = append(live, x)
+			continue
+		}
+		min := 0
+		for i := range live {
+			if less(live[i], live[min]) {
+				min = i
+			}
+		}
+		got := h.pop()
+		if got.dist != live[min].dist || got.order != live[min].order {
+			t.Fatalf("step %d: pop (%g, %d), want (%g, %d)", step, got.dist, got.order, live[min].dist, live[min].order)
+		}
+		live = append(live[:min], live[min+1:]...)
+	}
+}
+
 func TestNNIterFirstMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	tree, items := buildRandomTree(t, rng, 2000, 3, 16)

@@ -216,6 +216,13 @@ func Build(db *DB, opts Options) (*Index, error) {
 	return &Index{inner: inner}, nil
 }
 
+// ErrInvalidQuery marks a query point the index refuses: a NaN or ±Inf
+// coordinate, or a dimension other than the domain's. Every query method —
+// Query, QueryVerified, PossibleNN, PossibleKNN, GroupNN (each group point)
+// and PossibleRNN, with their WithCost, Candidates, batch and Ctx forms —
+// returns it before any retrieval.
+var ErrInvalidQuery = pvindex.ErrInvalidQuery
+
 // PossibleNN evaluates PNNQ Step 1: the exact set of objects whose
 // probability of being q's nearest neighbor is non-zero.
 func (ix *Index) PossibleNN(q Point) ([]Candidate, error) {
